@@ -1,0 +1,1 @@
+"""Response-time benchmark for the repro package; see README.md."""
